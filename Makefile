@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race vet lint lint-fix fmt-check fmt bench bench-smoke live-soak net-gate perf-guard examples ci
+.PHONY: build test test-race vet lint lint-fix fmt-check fmt bench bench-smoke bench-check live-soak net-gate perf-guard examples ci
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,18 @@ bench:
 # alongside the paper figures, BenchmarkScale and BenchmarkDAG.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# bench-check keeps the chain benchmark (chainbench/, a Go module of its
+# own built against internal/) compiling and correct: vet and unit tests,
+# then a 1 s fork-steady run whose JSON must report "correct": true. An
+# internal API change that strands the benchmark (Client.PendingAcks, the
+# StatsSnapshot fields its tracer reads) fails here even though the root
+# module's tests stay green.
+bench-check:
+	cd chainbench && $(GO) vet ./... && $(GO) test ./...
+	@set -e; out="$$(bash chainbench/run.sh --workload fork-steady --seconds 1)"; \
+		echo "$$out" | tail -n 1 | jq -e '.correct == true' > /dev/null || \
+		{ echo "bench-check: chainbench run not correct: $$out"; exit 1; }
 
 # live-soak runs the live execution mode under the race detector for a
 # sustained window: fork topology, branch crash + root replay every round,

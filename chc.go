@@ -126,8 +126,7 @@ type (
 // Execution substrates and multi-process deployment. ChainConfig.Substrate
 // selects where the chain runs; on SubstrateNet, ChainConfig.Nodes places
 // endpoints on named nodes and ChainConfig.Node makes one OS process host
-// one node's share of the chain (DESIGN.md §12). The deprecated
-// ChainConfig.Live bool remains as an alias for SubstrateLive.
+// one node's share of the chain (DESIGN.md §12).
 type (
 	// Substrate selects the execution substrate (sim / live / net).
 	Substrate = runtime.Substrate

@@ -136,8 +136,7 @@ func (c *Chain) scaleIn(v *Vertex, inst *Instance, grace time.Duration) {
 func (c *Chain) pollScaleIn(v *Vertex, inst *Instance, lastProcessed uint64) {
 	idle := c.tr.Endpoint(inst.Endpoint).Len() == 0 && inst.ProcessedCount() == lastProcessed &&
 		inst.inFlightCount() == 0 && !inst.holdsParked()
-	if inst.client != nil && (inst.client.PendingAcks() > 0 || inst.client.CoalescePending() > 0 ||
-		inst.client.BurstPending() > 0) {
+	if inst.client != nil && inst.client.PendingAcks() > 0 {
 		idle = false
 	}
 	if !idle {

@@ -227,24 +227,21 @@ func (r *Root) ingestBurst(p transport.Proc, batch []PacketMsg) {
 		tap.Splitter.RouteBurst(r.Endpoint, cl, now)
 	}
 	// Group per traffic class, preserving arrival order within each class.
-	for ci := range r.next {
-		if r.next[ci] == nil {
+	// Every class is read before the first RouteBurst: a routed packet can
+	// finish the chain and be recycled by the arena while this loop runs.
+	runs := make([][]*packet.Packet, len(r.next))
+	for _, pkt := range fwd {
+		ci := int(pkt.Meta.Class)
+		if ci >= len(r.next) || r.next[ci] == nil {
+			// No successor: the packet ends here (mirrors forward()).
+			r.chain.arena.Put(pkt)
 			continue
 		}
-		var run []*packet.Packet
-		for _, pkt := range fwd {
-			if int(pkt.Meta.Class) == ci {
-				run = append(run, pkt)
-			}
-		}
+		runs[ci] = append(runs[ci], pkt)
+	}
+	for ci, run := range runs {
 		if len(run) > 0 {
 			r.next[ci].Splitter.RouteBurst(r.Endpoint, run, now)
-		}
-	}
-	// Packets whose class has no successor end here (mirrors forward()).
-	for _, pkt := range fwd {
-		if int(pkt.Meta.Class) >= len(r.next) || r.next[pkt.Meta.Class] == nil {
-			r.chain.arena.Put(pkt)
 		}
 	}
 }

@@ -42,33 +42,31 @@ type ClientConfig struct {
 	Decls  []ObjDecl
 	// RPCTimeout bounds blocking store calls.
 	RPCTimeout time.Duration
-	// AckTimeout triggers retransmission of un-ACK'd async ops.
+	// AckTimeout is the retransmission interval of un-ACK'd async ops: an
+	// op is re-sent at send + k·AckTimeout until its ACK arrives, driven
+	// by one deadline-ordered scan per client.
 	AckTimeout time.Duration
 	// FlushEvery drives periodic non-blocking flush of cached per-flow
 	// objects (Table 1). Zero keeps flush purely event-driven (handover).
 	FlushEvery time.Duration
-	// CoalesceWindow bounds how long a non-blocking increment may sit in
-	// the client-side coalescing buffer before being flushed to the store
-	// (+NA mode only). Zero selects the default; negative disables
-	// coalescing.
+	// CoalesceWindow bounds how long an async op may wait in the outbound
+	// queue: one timer, armed when the queue becomes non-empty, ships the
+	// whole queue when it fires. Zero selects the default; negative
+	// disables merging of same-key increments (+NA mode).
 	CoalesceWindow time.Duration
-	// CoalesceMax caps how many increments merge into one batched request.
-	// Zero selects the default.
-	CoalesceMax int
-	// BurstRPC enables burst-scoped RPC batching: async ops buffer per
-	// shard and flush as one AsyncBatchMsg per shard when the instance
-	// finishes its packet burst (Client.FlushBurst), when a blocking call
-	// needs the wire ordering, or when the safety window elapses. Per-op
-	// acks, retransmission, WalPos stamping and checkpoint positions are
-	// unchanged — only the message count drops. The runtime enables this
-	// on the live substrate only; the DES never sets it, so the golden
-	// message schedules are untouched.
+	// BurstRPC batches the outbound queue per instance burst: entries that
+	// can no longer merge wait for the burst end (Client.FlushBurst), and
+	// each shard's share ships as one AsyncBatchMsg. Without it every entry
+	// ships as its own AsyncOp as soon as it can no longer merge. Acks,
+	// retransmission, WalPos stamping and checkpoint positions stay per-op
+	// either way. The runtime enables this on the live substrate only; the
+	// DES never sets it, so the golden message schedules are untouched.
 	BurstRPC bool
 }
 
-// Coalescing defaults: a window two-ish store RTTs wide keeps batching
-// invisible next to the ACK timeout, and the cap bounds replay divergence
-// per batch.
+// Outbound-queue defaults: a window two-ish store RTTs wide keeps merging
+// invisible next to the ACK timeout, and the merge cap bounds replay
+// divergence per merged op.
 const (
 	defaultCoalesceWindow = 20 * time.Microsecond
 	defaultCoalesceMax    = 32
@@ -115,8 +113,8 @@ type Client struct {
 	cfg ClientConfig
 	net transport.Transport
 
-	// mu guards every mutable field below (cache, pending, coalescing
-	// buffers, WAL, read log, ownership waits, stats).
+	// mu guards every mutable field below (cache, outbound queue,
+	// retransmission FIFO, WAL, read log, ownership waits, stats).
 	mu    sync.Mutex
 	pmap  *PartitionMap
 	decls map[uint16]ObjDecl
@@ -126,23 +124,23 @@ type Client struct {
 	declList []ObjDecl
 	cache    map[Key]*cacheEntry
 
-	// Async-op retransmission state.
-	seq     uint64
-	pending map[uint64]AsyncOp
-
-	// Op coalescing: unsent merged non-blocking increments, keyed by
-	// (key, field). coOrder preserves issue order for deterministic
-	// flushing (map iteration order would perturb the DES).
-	co          map[coKey]*Request
-	coOrder     []coKey
-	coTimer     bool
+	// Outbound queue: every async op (+NA write, cache flush) waits here
+	// until it ships, in issue order. An open entry may still absorb
+	// same-key increments; entries below sealed can no longer merge
+	// because a non-mergeable op was queued after them.
+	out         []outEntry
+	sealed      int
+	windowArmed bool
 	coalesceOff bool
+	coalesceMax int
 
-	// Burst-scoped RPC batching (BurstRPC mode): async ops buffered per
-	// shard in issue order, flushed as one AsyncBatchMsg per shard.
-	burst      map[string][]AsyncOp
-	burstOrder []string
-	burstTimer bool
+	// Retransmission: pending holds sent-but-unacked ops by seq; retx
+	// lists every send in deadline order (AckTimeout is per client, so send
+	// order is deadline order) and one timer follows its head.
+	seq       uint64
+	pending   map[uint64]AsyncOp
+	retx      []retxEntry
+	retxArmed bool
 
 	// Recovery metadata. walCount counts WAL entries ever logged per
 	// shard (the position piggybacked on outgoing ops); walDropped counts
@@ -171,9 +169,9 @@ type Client struct {
 	CacheMisses uint64
 	Retransmits uint64
 	FlushedOps  uint64
-	// CoalescedOps counts non-blocking increments absorbed into an
-	// already-buffered batch (ops that never became their own wire
-	// message); BatchedSends counts batched requests actually sent.
+	// CoalescedOps counts non-blocking increments merged into an already
+	// queued entry (ops that never became their own wire message);
+	// BatchedSends counts merged entries actually sent.
 	CoalescedOps uint64
 	BatchedSends uint64
 	// BurstRPCs counts AsyncBatchMsg wire messages sent (BurstRPC mode):
@@ -181,11 +179,17 @@ type Client struct {
 	BurstRPCs uint64
 }
 
-// coKey identifies one coalescible op stream: a key plus the map field
-// (empty for plain counters).
-type coKey struct {
-	k     Key
-	field string
+// outEntry is one queued async op; a merged entry carries the absorbed
+// increments in req.Batch.
+type outEntry struct {
+	req  Request
+	open bool
+}
+
+// retxEntry schedules one sent op's next retransmission check.
+type retxEntry struct {
+	seq uint64
+	due transport.Time
 }
 
 // NewClient builds a client library instance.
@@ -200,9 +204,6 @@ func NewClient(net transport.Transport, cfg ClientConfig) *Client {
 	if cfg.CoalesceWindow <= 0 {
 		cfg.CoalesceWindow = defaultCoalesceWindow
 	}
-	if cfg.CoalesceMax <= 0 {
-		cfg.CoalesceMax = defaultCoalesceMax
-	}
 	shards := cfg.Shards
 	if len(shards) == 0 {
 		shards = []string{cfg.Store}
@@ -216,9 +217,8 @@ func NewClient(net transport.Transport, cfg ClientConfig) *Client {
 		pending:     make(map[uint64]AsyncOp),
 		walCount:    make(map[string]uint64),
 		walDropped:  make(map[string]uint64),
-		co:          make(map[coKey]*Request),
 		coalesceOff: coalesceOff,
-		burst:       make(map[string][]AsyncOp),
+		coalesceMax: defaultCoalesceMax,
 		ownerWait:   make(map[Key]transport.Signal),
 		objExcl:     make(map[uint16]bool),
 	}
@@ -257,25 +257,25 @@ func (c *Client) WALDropped() map[string]uint64 {
 	return out
 }
 
-// PendingAcks reports async operations not yet acknowledged.
+// PendingAcks reports async ops issued and not yet acknowledged, sent or
+// still queued (a merged entry counts once): the client is quiescent
+// exactly when this is zero.
 func (c *Client) PendingAcks() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pending)
+	return len(c.pending) + len(c.out)
 }
 
-// Shutdown stops retransmission of outstanding async ops and drops unsent
-// coalesced batches (instance crash: a dead NF cannot keep retrying; replay
+// Shutdown stops retransmission of outstanding async ops and drops the
+// unsent queue (instance crash: a dead NF cannot keep retrying; replay
 // regenerates anything lost).
 func (c *Client) Shutdown() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.shutdown = true
 	c.pending = make(map[uint64]AsyncOp)
-	c.co = make(map[coKey]*Request)
-	c.coOrder = c.coOrder[:0]
-	c.burst = make(map[string][]AsyncOp)
-	c.burstOrder = nil
+	c.out, c.sealed = nil, 0
+	c.retx = nil
 }
 
 // ReadLog returns a copy of the logged shared reads with their TS vectors.
@@ -407,16 +407,12 @@ func (c *Client) shardFor(k Key) string { return c.pmap.ShardFor(k) }
 // Partition exposes the client's view of the shard map (recovery, tests).
 func (c *Client) Partition() *PartitionMap { return c.pmap }
 
-// call performs a blocking RPC to the key's shard. Buffered coalesced
-// batches flush first (FIFO links): a blocking op must observe every
-// increment the NF issued before it. call expects c.mu held and releases
-// it around the network wait.
+// call performs a blocking RPC to the key's shard. The outbound queue
+// ships first (FIFO links): a blocking op must observe every async op the
+// NF issued before it. call expects c.mu held and releases it around the
+// network wait.
 func (c *Client) call(p transport.Proc, req *Request) (Reply, bool) {
-	c.flushCoalesced()
-	// Burst buffers flush next (flushCoalesced feeds them in burst mode):
-	// FIFO links then guarantee the blocking op arrives after every async
-	// op issued before it.
-	c.flushBurst()
+	c.flush()
 	c.BlockingOps++
 	to := c.shardFor(req.Key)
 	// The deferred re-lock (instead of a plain Lock after the call) keeps
@@ -432,67 +428,147 @@ func (c *Client) call(p transport.Proc, req *Request) (Reply, bool) {
 	return res.(Reply), true
 }
 
-// async issues a fire-and-forget op with framework retransmission (§4.3:
-// "NFs do not even wait for the ACK ... the framework handles operation
-// retransmission if an ACK is not received before a timeout").
-func (c *Client) async(req *Request) {
-	c.stampWalPos(req)
-	c.AsyncOps++
-	c.seq++
-	op := AsyncOp{Req: req, Seq: c.seq, From: c.cfg.Endpoint}
-	c.pending[op.Seq] = op
-	if c.cfg.BurstRPC && !c.shutdown {
-		// Burst mode: buffer per shard instead of sending now. Everything
-		// else — WAL position, pending entry, seq — is already recorded, so
-		// the op's recovery semantics are fixed before it reaches the wire.
-		shard := c.shardFor(req.Key)
-		if _, ok := c.burst[shard]; !ok {
-			c.burstOrder = append(c.burstOrder, shard)
-		}
-		c.burst[shard] = append(c.burst[shard], op)
-		c.armBurstTimer()
-		return
-	}
-	c.sendAsync(op)
-}
+// --- Outbound queue ----------------------------------------------------------
 
-// flushBurst sends every buffered burst batch, one AsyncBatchMsg per
-// shard in first-buffered order. Within a shard, ops keep issue order, so
-// the server applying the slice in order preserves wire-order == WAL-order.
-// Expects c.mu held.
-func (c *Client) flushBurst() {
-	if len(c.burstOrder) == 0 {
-		return
+// enqueue adds a fire-and-forget op to the outbound queue (§4.3: "NFs do
+// not even wait for the ACK ... the framework handles operation
+// retransmission if an ACK is not received before a timeout"). A
+// mergeable increment merges into its key's open entry when that entry
+// has the same op kind and holds fewer than coalesceMax ops; otherwise it
+// opens a new entry and the old one closes. A non-mergeable op closes
+// every entry queued before it, so per-key issue order holds on the wire.
+// Without BurstRPC an entry ships the moment it closes; a full entry
+// closes when the next increment for its key arrives.
+func (c *Client) enqueue(req Request, mergeable bool) {
+	if !mergeable {
+		c.out = append(c.out, outEntry{req: req})
+		c.sealed = len(c.out)
+		if !c.cfg.BurstRPC {
+			c.flush()
+		}
+	} else {
+		for i := len(c.out) - 1; i >= c.sealed; i-- {
+			e := &c.out[i]
+			if !e.open || e.req.Key != req.Key || e.req.Field != req.Field {
+				continue
+			}
+			if e.req.Op == req.Op && 1+len(e.req.Batch) < c.coalesceMax {
+				e.req.Batch = append(e.req.Batch, BatchEntry{Clock: req.Clock, Delta: req.Arg.Int})
+				c.CoalescedOps++
+				return
+			}
+			e.open = false
+			if !c.cfg.BurstRPC {
+				c.sendAsync(c.issue(&e.req))
+				c.out = append(c.out[:i], c.out[i+1:]...)
+			}
+			break
+		}
+		c.out = append(c.out, outEntry{req: req, open: true})
 	}
-	order := c.burstOrder
-	c.burstOrder = nil
-	for _, shard := range order {
-		ops := c.burst[shard]
-		delete(c.burst, shard)
-		if len(ops) == 0 {
-			continue
-		}
-		if len(ops) == 1 {
-			c.sendAsync(ops[0])
-			continue
-		}
-		c.sendBatch(shard, ops)
+	if len(c.out) > 0 && !c.windowArmed {
+		c.windowArmed = true
+		c.net.Schedule(c.cfg.CoalesceWindow, c.windowExpired)
 	}
 }
 
-// FlushBurst drains the burst buffers; the runtime calls it when an
-// instance finishes its packet burst.
+// windowExpired ships the whole queue: no op waits longer than the
+// window, even on an idle instance. The timer is armed once per non-empty
+// queue and never cancelled.
+func (c *Client) windowExpired() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.windowArmed = false
+	if !c.shutdown {
+		c.flush()
+	}
+}
+
+// flush ships every queued entry. Expects c.mu held.
+func (c *Client) flush() { c.ship(false) }
+
+// FlushBurst ships what the instance's finished packet burst queued,
+// except the open entries that can still absorb increments; the runtime
+// calls it at every burst end.
 func (c *Client) FlushBurst() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.flushBurst()
+	c.ship(true)
 }
 
-// sendBatch ships one shard's buffered ops as a single wire message. Acks
-// stay per-op: the retransmit timer re-offers whichever ops are still
-// pending individually, so a lost batch degrades to the ordinary
-// retransmission path rather than inventing batch-level ack state.
+// ship sends the queued entries in queue order (keeping the open ones
+// queued when keepOpen): one AsyncOp each, or with BurstRPC one
+// AsyncBatchMsg per shard.
+func (c *Client) ship(keepOpen bool) {
+	var ops []AsyncOp
+	kept := 0
+	for i := range c.out {
+		e := &c.out[i]
+		if keepOpen && i >= c.sealed && e.open {
+			c.out[kept] = *e
+			kept++
+			continue
+		}
+		op := c.issue(&e.req)
+		if !c.cfg.BurstRPC {
+			c.sendAsync(op)
+			continue
+		}
+		if ops == nil {
+			ops = make([]AsyncOp, 0, len(c.out)-i)
+		}
+		ops = append(ops, op)
+	}
+	clear(c.out[kept:])
+	c.out, c.sealed = c.out[:kept], 0
+	// One message per shard, shards in first-appearance order, each
+	// shard's ops in queue order: per-shard wire order is WAL order.
+	for len(ops) > 0 {
+		shard := c.shardFor(ops[0].Req.Key)
+		n := 0
+		var rest []AsyncOp
+		for _, op := range ops {
+			if c.shardFor(op.Req.Key) == shard {
+				ops[n] = op
+				n++
+			} else {
+				rest = append(rest, op)
+			}
+		}
+		c.sendBatch(shard, ops[:n:n])
+		ops = rest
+	}
+}
+
+// issue turns a shipping entry into a wire op: WAL-logged (one entry per
+// absorbed op) and WalPos-stamped here, at ship time, because §10's
+// positional truncation needs WAL order to mirror per-shard wire order.
+func (c *Client) issue(req *Request) AsyncOp {
+	c.logWal(*req)
+	for _, b := range req.Batch {
+		r := *req
+		r.Clock, r.Arg, r.Batch = b.Clock, IntVal(b.Delta), nil
+		c.logWal(r)
+	}
+	if len(req.Batch) > 0 {
+		c.BatchedSends++
+	}
+	r := *req
+	c.stampWalPos(&r)
+	c.AsyncOps++
+	c.seq++
+	op := AsyncOp{Req: &r, Seq: c.seq, From: c.cfg.Endpoint}
+	c.pending[op.Seq] = op
+	return op
+}
+
+// sendBatch ships one shard's ops as a single wire message. Acks stay
+// per-op, so a lost batch degrades to ordinary per-op retransmission.
 func (c *Client) sendBatch(shard string, ops []AsyncOp) {
+	if len(ops) == 1 {
+		c.sendAsync(ops[0])
+		return
+	}
 	size := 0
 	for _, op := range ops {
 		size += op.Req.wireSize()
@@ -503,54 +579,9 @@ func (c *Client) sendBatch(shard string, ops []AsyncOp) {
 		Size:    size,
 	})
 	c.BurstRPCs++
-	seqs := make([]uint64, len(ops))
-	for i, op := range ops {
-		seqs[i] = op.Seq
+	for _, op := range ops {
+		c.awaitAck(op.Seq)
 	}
-	c.net.Schedule(c.cfg.AckTimeout, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.shutdown {
-			return
-		}
-		for _, seq := range seqs {
-			if p, ok := c.pending[seq]; ok {
-				c.Retransmits++
-				c.sendAsync(p)
-			}
-		}
-	})
-}
-
-// armBurstTimer schedules the safety flush: a burst buffer must never
-// outlive the coalescing window, or an idle instance would sit on
-// unacked-but-unsent ops until the next packet arrives.
-func (c *Client) armBurstTimer() {
-	if c.burstTimer {
-		return
-	}
-	c.burstTimer = true
-	c.net.Schedule(c.cfg.CoalesceWindow, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.burstTimer = false
-		if c.shutdown {
-			return
-		}
-		c.flushBurst()
-	})
-}
-
-// BurstPending reports buffered (unsent) burst ops; scale-in quiescence
-// checks this alongside PendingAcks.
-func (c *Client) BurstPending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, ops := range c.burst {
-		n += len(ops)
-	}
-	return n
 }
 
 func (c *Client) sendAsync(op AsyncOp) {
@@ -558,18 +589,52 @@ func (c *Client) sendAsync(op AsyncOp) {
 		From: c.cfg.Endpoint, To: c.shardFor(op.Req.Key), Payload: op,
 		Size: op.Req.wireSize(),
 	})
-	seq := op.Seq
-	c.net.Schedule(c.cfg.AckTimeout, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.shutdown {
-			return
+	c.awaitAck(op.Seq)
+}
+
+// awaitAck schedules a retransmission check for seq at now+AckTimeout.
+func (c *Client) awaitAck(seq uint64) {
+	c.retx = append(c.retx, retxEntry{seq: seq, due: c.net.Now().Add(c.cfg.AckTimeout)})
+	if !c.retxArmed {
+		c.armRetx()
+	}
+}
+
+func (c *Client) armRetx() {
+	c.retxArmed = true
+	c.net.Schedule(c.retx[0].due.Sub(c.net.Now()), c.retransmit)
+}
+
+// retransmit re-sends every due op that is still unacked; a re-sent op
+// re-enters the FIFO at the tail, so retransmissions fall at exactly
+// send + k·AckTimeout. Acked entries at the head are dropped whatever
+// their deadline, so the timer next fires for the oldest unacked op only.
+func (c *Client) retransmit() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.shutdown {
+		c.retxArmed = false
+		return
+	}
+	// retxArmed stays set during the scan, so the re-sends below do not
+	// arm a second timer.
+	now := c.net.Now()
+	for len(c.retx) > 0 {
+		h := c.retx[0]
+		op, unacked := c.pending[h.seq]
+		if unacked && h.due > now {
+			break
 		}
-		if p, ok := c.pending[seq]; ok {
+		c.retx = c.retx[1:]
+		if unacked {
 			c.Retransmits++
-			c.sendAsync(p)
+			c.sendAsync(op)
 		}
-	})
+	}
+	c.retxArmed = false
+	if len(c.retx) > 0 {
+		c.armRetx()
+	}
 }
 
 // HandleMessage dispatches store-pushed messages (ACKs, callbacks, owner
@@ -746,19 +811,14 @@ func (c *Client) Update(p transport.Proc, req Request) {
 		e.pending = append(e.pending, req)
 		return
 	}
-	if c.cfg.Mode.NoAckWait && c.tryCoalesce(&req) {
-		return // WAL-logged at flush time, in send order
-	}
-	// Non-coalescible op: flush buffered batches first so the wire (and
-	// the WAL, whose order mirrors it) sees this client's ops in a
-	// consistent send order.
-	c.flushCoalesced()
-	c.logWal(req)
 	if c.cfg.Mode.NoAckWait {
-		r := req
-		c.async(&r)
+		c.enqueue(req, !c.coalesceOff && (req.Op == OpIncr || req.Op == OpMapIncr))
 		return
 	}
+	// The queue ships before this op is logged, so WAL order stays send
+	// order.
+	c.flush()
+	c.logWal(req)
 	// Non-blocking op, but wait for the ACK (models #1/#2): one RTT, no
 	// lock contention since the store serializes (§4.3).
 	r := req
@@ -791,7 +851,7 @@ func (c *Client) UpdateBlocking(p transport.Proc, req Request) (Reply, bool) {
 	}
 	// Flush before logging so WAL order matches send order (the ts
 	// position markers store recovery relies on assume it does).
-	c.flushCoalesced()
+	c.flush()
 	c.logWal(req)
 	c.stampWalPos(&req)
 	rep, ok := c.call(p, &req)
@@ -800,110 +860,6 @@ func (c *Client) UpdateBlocking(p transport.Proc, req Request) (Reply, bool) {
 		e.valid = true
 	}
 	return rep, ok
-}
-
-// --- Op coalescing -----------------------------------------------------------
-
-// tryCoalesce absorbs a non-blocking increment into the per-key batch
-// buffer (§4.3 model #3 fast path: the NF already does not wait for these
-// ops, so consecutive increments on one key can merge into a single wire
-// message). Returns true when the op was buffered; it is sent — merged —
-// by the next flush trigger: the window timer, the batch cap, an
-// intervening blocking or non-coalescible op, or FlushAll.
-func (c *Client) tryCoalesce(req *Request) bool {
-	if c.coalesceOff || (req.Op != OpIncr && req.Op != OpMapIncr) {
-		return false
-	}
-	ck := coKey{k: req.Key, field: req.Field}
-	if head, ok := c.co[ck]; ok {
-		if head.Op == req.Op && 1+len(head.Batch) < c.cfg.CoalesceMax {
-			head.Batch = append(head.Batch, BatchEntry{Clock: req.Clock, Delta: req.Arg.Int})
-			c.CoalescedOps++
-			return true
-		}
-		// Batch full, or a different op kind on the same stream (Incr vs
-		// MapIncr): keep per-key issue order by flushing the old batch, then
-		// start a fresh head below.
-		c.flushCoalescedKey(ck)
-	}
-	r := *req
-	c.co[ck] = &r
-	c.coOrder = append(c.coOrder, ck)
-	c.armCoalesceTimer()
-	return true
-}
-
-// armCoalesceTimer schedules the window flush for the oldest buffered op.
-func (c *Client) armCoalesceTimer() {
-	if c.coTimer {
-		return
-	}
-	c.coTimer = true
-	c.net.Schedule(c.cfg.CoalesceWindow, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.coTimer = false
-		if c.shutdown {
-			return
-		}
-		c.flushCoalesced()
-	})
-}
-
-// FlushCoalesced sends every buffered batch, ordered by each batch's
-// oldest (head) op.
-func (c *Client) FlushCoalesced() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.flushCoalesced()
-}
-
-// flushCoalesced is FlushCoalesced with c.mu held.
-func (c *Client) flushCoalesced() {
-	for len(c.coOrder) > 0 {
-		c.flushCoalescedKey(c.coOrder[0])
-	}
-}
-
-// flushCoalescedKey sends one key's batch and retires its coOrder slot, so
-// a later re-buffering of the key re-enters issue order at the tail rather
-// than inheriting the flushed slot. WAL entries for the batch are written
-// here — at send time, one per absorbed op — because the ts position
-// markers the store's recovery relies on assume WAL order mirrors the
-// order ops reach the wire (the cached-object flush path does the same).
-func (c *Client) flushCoalescedKey(ck coKey) {
-	for i, o := range c.coOrder {
-		if o == ck {
-			c.coOrder = append(c.coOrder[:i], c.coOrder[i+1:]...)
-			break
-		}
-	}
-	head, ok := c.co[ck]
-	if !ok {
-		return
-	}
-	delete(c.co, ck)
-	c.logWal(*head)
-	for _, b := range head.Batch {
-		r := *head
-		r.Clock, r.Arg, r.Batch = b.Clock, IntVal(b.Delta), nil
-		c.logWal(r)
-	}
-	if len(head.Batch) > 0 {
-		c.BatchedSends++
-	}
-	c.async(head)
-}
-
-// CoalescePending reports buffered (unsent) coalesced increments.
-func (c *Client) CoalescePending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, head := range c.co {
-		n += 1 + len(head.Batch)
-	}
-	return n
 }
 
 // applyLocal applies a cached-object mutation to the local copy.
@@ -1014,33 +970,30 @@ func (c *Client) NonDet(p transport.Proc, obj uint16, sub uint64, kind NonDetKin
 
 // --- Flush and handover ------------------------------------------------------
 
-// flushEntry sends an entry's pending ops to the store (non-blocking) and
-// clears them. Per §7.3 R2, handover "flushes only operations".
+// flushEntry queues an entry's pending ops for the store (non-blocking)
+// and clears them. Per §7.3 R2, handover "flushes only operations".
 func (c *Client) flushEntry(k Key, e *cacheEntry) int {
 	n := len(e.pending)
 	for i := range e.pending {
 		req := e.pending[i]
 		req.Key = k
-		c.logWal(req)
-		r := req
-		c.async(&r)
+		c.enqueue(req, false)
 	}
 	c.FlushedOps += uint64(n)
 	e.pending = nil
 	return n
 }
 
-// FlushAll flushes every cached object's pending ops and any buffered
-// coalesced increments.
+// FlushAll flushes every cached object's pending ops and ships the whole
+// outbound queue.
 func (c *Client) FlushAll() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.flushCoalesced()
 	n := 0
 	for _, k := range c.sortedCacheKeys(func(_ Key, e *cacheEntry) bool { return len(e.pending) > 0 }) {
 		n += c.flushEntry(k, c.cache[k])
 	}
-	c.flushBurst()
+	c.flush()
 	return n
 }
 

@@ -75,8 +75,8 @@ func TestCoalesceWindowFlush(t *testing.T) {
 	if r.server.AsyncServed != 0 {
 		t.Fatalf("op sent before window expired")
 	}
-	if r.clients[0].CoalescePending() != 1 {
-		t.Fatalf("pending = %d, want 1", r.clients[0].CoalescePending())
+	if r.clients[0].PendingAcks() != 1 {
+		t.Fatalf("pending = %d, want 1", r.clients[0].PendingAcks())
 	}
 	// ...after window + RTT it has been applied.
 	r.sim.RunFor(defaultCoalesceWindow + 2*testLat + time.Millisecond)
@@ -89,7 +89,7 @@ func TestCoalesceWindowFlush(t *testing.T) {
 // than the cap is split into multiple batched sends.
 func TestCoalesceCapFlush(t *testing.T) {
 	r := newRig(t, 1, ModeEOCNA, counterDecl)
-	r.clients[0].cfg.CoalesceMax = 4
+	r.clients[0].coalesceMax = 4
 	r.run(func(p *vtime.Proc) {
 		for i := 0; i < 8; i++ {
 			r.clients[0].Update(p, Request{Op: OpIncr, Key: Key{Vertex: 1, Obj: 1}, Arg: IntVal(1), Clock: uint64(i + 1)})
@@ -114,7 +114,7 @@ func TestCoalesceReflushedKeyKeepsSendOrder(t *testing.T) {
 	}
 	r := newRig(t, 1, ModeEOCNA, decls)
 	c := r.clients[0]
-	c.cfg.CoalesceMax = 2
+	c.coalesceMax = 2
 	kA, kB := Key{Vertex: 1, Obj: 1}, Key{Vertex: 1, Obj: 2}
 	r.run(func(p *vtime.Proc) {
 		c.Update(p, Request{Op: OpIncr, Key: kA, Arg: IntVal(1), Clock: 1}) // head A
@@ -154,7 +154,7 @@ func TestCoalesceReflushedKeyKeepsSendOrder(t *testing.T) {
 // singleton send (the cap is checked before absorbing, not after).
 func TestCoalesceMaxOneDisablesMerging(t *testing.T) {
 	r := newRig(t, 1, ModeEOCNA, counterDecl)
-	r.clients[0].cfg.CoalesceMax = 1
+	r.clients[0].coalesceMax = 1
 	r.run(func(p *vtime.Proc) {
 		for i := 0; i < 4; i++ {
 			r.clients[0].Update(p, Request{Op: OpIncr, Key: Key{Vertex: 1, Obj: 1}, Arg: IntVal(1), Clock: uint64(i + 1)})
