@@ -65,15 +65,18 @@ bench-smoke:
 
 # bench-check keeps the chain benchmark (chainbench/, a Go module of its
 # own built against internal/) compiling and correct: vet and unit tests,
-# then a 1 s fork-steady run whose JSON must report "correct": true. An
-# internal API change that strands the benchmark (Client.PendingAcks, the
-# StatsSnapshot fields its tracer reads) fails here even though the root
-# module's tests stay green.
+# then 1 s runs of fork-steady (cached state, async writes) and fork-eo
+# (every state op a blocking store call), each of whose JSON must report
+# "correct": true. An internal API change that strands the benchmark
+# (Client.PendingAcks, the StatsSnapshot fields its tracer reads) fails
+# here even though the root module's tests stay green.
 bench-check:
 	cd chainbench && $(GO) vet ./... && $(GO) test ./...
-	@set -e; out="$$(bash chainbench/run.sh --workload fork-steady --seconds 1)"; \
+	@set -e; for w in fork-steady fork-eo; do \
+		out="$$(bash chainbench/run.sh --workload $$w --seconds 1)"; \
 		echo "$$out" | tail -n 1 | jq -e '.correct == true' > /dev/null || \
-		{ echo "bench-check: chainbench run not correct: $$out"; exit 1; }
+		{ echo "bench-check: chainbench $$w run not correct: $$out"; exit 1; }; \
+	done
 
 # live-soak runs the live execution mode under the race detector for a
 # sustained window: fork topology, branch crash + root replay every round,

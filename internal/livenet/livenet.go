@@ -12,8 +12,9 @@
 //   - links model latency/jitter/bandwidth and loss/duplication
 //     probabilistically from a seeded source;
 //   - Crash fail-stops an endpoint (traffic dropped, inbox cleared);
-//   - Kill fail-stops a process at its next blocking point (recv, sleep,
-//     call wait), exactly like the DES's kill-unwind.
+//   - Kill fail-stops a process at its next blocking point (recv, sleep
+//     including a zero sleep, call wait), exactly like the DES's
+//     kill-unwind.
 //
 // Time is reported as nanoseconds since the transport was created, so
 // transport.Time values are comparable across both substrates.
@@ -48,13 +49,23 @@ type link struct {
 	sent, delivered, dropped, duplicated uint64
 }
 
+// mailboxKeep is the largest backing array (in messages) a mailbox keeps
+// for reuse once it empties. A larger one, left by an overload backlog, is
+// dropped so the backlog's memory is not pinned after it drains.
+const mailboxKeep = 1024
+
 // mailbox is an unbounded FIFO with a wake channel. Lost-wakeup safety:
 // push posts a (coalesced) notify; a consumer that pops while more
 // messages remain re-posts it, so coalesced notifies never strand queued
 // messages when several consumers share the box.
+//
+// The queue is q[head:]. Popping advances head; once the box empties its
+// backing array is reused from the start (or dropped when larger than
+// mailboxKeep), so steady traffic appends into the same array.
 type mailbox struct {
 	mu     sync.Mutex
 	q      []transport.Message
+	head   int
 	notify chan struct{}
 }
 
@@ -67,9 +78,23 @@ func (m *mailbox) wake() {
 	}
 }
 
+// appendLocked queues msg. When the array is full and at least half of it
+// is already-popped prefix, the live tail moves to the front instead of
+// growing the array, so a box that never quite empties stays bounded by
+// twice its backlog.
+func (m *mailbox) appendLocked(msg transport.Message) {
+	if len(m.q) == cap(m.q) && m.head > 0 && m.head >= len(m.q)/2 {
+		n := copy(m.q, m.q[m.head:])
+		clear(m.q[n:])
+		m.q = m.q[:n]
+		m.head = 0
+	}
+	m.q = append(m.q, msg)
+}
+
 func (m *mailbox) push(msg transport.Message) {
 	m.mu.Lock()
-	m.q = append(m.q, msg)
+	m.appendLocked(msg)
 	m.mu.Unlock()
 	m.wake()
 }
@@ -77,27 +102,34 @@ func (m *mailbox) push(msg transport.Message) {
 func (m *mailbox) pop() (transport.Message, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.q) == 0 {
+	if m.head == len(m.q) {
 		return transport.Message{}, false
 	}
-	msg := m.q[0]
-	m.q[0] = transport.Message{}
-	m.q = m.q[1:]
-	if len(m.q) > 0 {
+	msg := m.q[m.head]
+	m.q[m.head] = transport.Message{}
+	m.head++
+	if m.head < len(m.q) {
 		m.wake()
+		return msg, true
 	}
+	if cap(m.q) > mailboxKeep {
+		m.q = nil
+	} else {
+		m.q = m.q[:0]
+	}
+	m.head = 0
 	return msg, true
 }
 
 func (m *mailbox) len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.q)
+	return len(m.q) - m.head
 }
 
 func (m *mailbox) drain() {
 	m.mu.Lock()
-	m.q = nil
+	m.q, m.head = nil, 0
 	m.mu.Unlock()
 }
 
@@ -129,12 +161,27 @@ func (e *Endpoint) Recv(p transport.Proc) transport.Message {
 	}
 }
 
-// Proc is a live process: a goroutine with a fail-stop kill channel.
+// Proc is a live process: a goroutine with a fail-stop kill channel, plus
+// the one timer and one wake channel every wait of the process reuses, so
+// Sleep allocates nothing and a call only its callMsg.
 type Proc struct {
 	net    *Net
 	name   string
 	killed chan struct{}
 	once   sync.Once
+
+	// timer serves every Sleep and wait of this process (only the process's
+	// own goroutine touches it). go.mod declares go 1.23, so Stop and Reset
+	// discard a pending expiry: a re-armed timer never delivers a stale tick.
+	timer *time.Timer
+	// wake receives a token when a call of this process is resolved
+	// (capacity 1). A token can be stale: left by the late reply to an
+	// earlier, timed-out call. Waiters therefore re-check their own call.
+	wake chan struct{}
+}
+
+func newProc(n *Net, name string) *Proc {
+	return &Proc{net: n, name: name, killed: make(chan struct{}), wake: make(chan struct{}, 1)}
 }
 
 // Name returns the process name given at Spawn.
@@ -144,27 +191,48 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() transport.Time { return p.net.Now() }
 
 // Sleep suspends the process for real duration d (interruptible by Kill).
+// Sleep(d <= 0) does not block but is still a kill point, as the DES's
+// zero sleep (a yield) is.
 func (p *Proc) Sleep(d time.Duration) {
 	if d <= 0 {
+		select {
+		case <-p.killed:
+			panic(killSentinel{p.name})
+		default:
+		}
 		return
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	t := p.arm(d)
 	select {
 	case <-t.C:
 	case <-p.killed:
+		t.Stop()
 		panic(killSentinel{p.name})
 	}
 }
 
+// arm returns the process's timer set to fire after d.
+func (p *Proc) arm(d time.Duration) *time.Timer {
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+	} else {
+		p.timer.Reset(d)
+	}
+	return p.timer
+}
+
 func (p *Proc) kill() { p.once.Do(func() { close(p.killed) }) }
 
-// signal is a one-shot handoff with first-wins Resolve.
+// signal is a one-shot handoff with first-wins Resolve. Resolve wakes the
+// waiter through wake: a NewSignal future owns its channel and closes it,
+// so any number of waiters see it; a call's signal borrows its caller's
+// per-process wake channel and posts a token without blocking.
 type signal struct {
 	mu       sync.Mutex
-	done     chan struct{}
 	v        any
 	resolved bool
+	wake     chan struct{}
+	owned    bool
 }
 
 func (s *signal) Resolve(v any) {
@@ -172,7 +240,14 @@ func (s *signal) Resolve(v any) {
 	if !s.resolved {
 		s.resolved = true
 		s.v = v
-		close(s.done)
+		if s.owned {
+			close(s.wake)
+		} else {
+			select {
+			case s.wake <- struct{}{}:
+			default:
+			}
+		}
 	}
 	s.mu.Unlock()
 }
@@ -183,50 +258,58 @@ func (s *signal) Resolved() bool {
 	return s.resolved
 }
 
-func (s *signal) value() any {
+func (s *signal) result() (any, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.v
+	return s.v, s.resolved
 }
 
 func (s *signal) WaitTimeout(p transport.Proc, d time.Duration) (any, bool) {
 	lp, _ := p.(*Proc)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	if lp != nil {
-		select {
-		case <-s.done:
-			return s.value(), true
-		case <-t.C:
-		case <-lp.killed:
-			panic(killSentinel{lp.name})
-		}
-	} else {
-		select {
-		case <-s.done:
-			return s.value(), true
-		case <-t.C:
-		}
-	}
-	// The timer fired, but a resolution racing the deadline must win
-	// (matching the DES, where a reply at the deadline instant is
-	// delivered): a dropped reply here would make the caller treat an
-	// APPLIED operation as failed, unbalancing its packet's XOR vector.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.resolved {
-		return s.v, true
-	}
-	return nil, false
+	return s.wait(lp, d)
 }
 
-// callMsg is the payload wrapper for live RPCs.
+// wait is the one wait for a signal (calls, futures, Drive): it parks on
+// s.wake until s resolves, d elapses, or p is killed. A process waits on
+// its own timer; a caller that is not a process (p == nil) gets a fresh
+// one and cannot be killed. Every wake re-checks s itself, so a stale
+// token on a shared wake channel only costs one more loop.
+func (s *signal) wait(p *Proc, d time.Duration) (any, bool) {
+	var t *time.Timer
+	var killed chan struct{} // nil for a non-process caller: never ready
+	if p != nil {
+		t, killed = p.arm(d), p.killed
+	} else {
+		t = time.NewTimer(d)
+	}
+	defer t.Stop()
+	for {
+		if v, ok := s.result(); ok {
+			return v, true
+		}
+		select {
+		case <-s.wake:
+		case <-t.C:
+			// The timer fired, but a resolution racing the deadline must
+			// win (matching the DES, where a reply at the deadline instant
+			// is delivered): a dropped reply here would make the caller
+			// treat an APPLIED operation as failed, unbalancing its
+			// packet's XOR vector.
+			return s.result()
+		case <-killed:
+			panic(killSentinel{p.name})
+		}
+	}
+}
+
+// callMsg is the payload wrapper for live RPCs, and the caller's signal:
+// a blocking call allocates nothing else.
 type callMsg struct {
+	signal
 	net     *Net
 	from    string
 	to      string
 	payload any
-	sig     *signal
 }
 
 // From returns the calling endpoint's name.
@@ -236,28 +319,31 @@ func (c *callMsg) From() string { return c.from }
 func (c *callMsg) Body() any { return c.payload }
 
 // Reply resolves the caller after the return link's model. Duplicate
-// replies are no-ops (Resolve is first-wins).
+// replies are no-ops (Resolve is first-wins). Only a delayed reply
+// allocates (its dispatcher closure).
 func (c *callMsg) Reply(v any, replySize int) {
-	n := c.net
-	delay, ok, _ := n.plan(c.to, c.from, replySize)
+	delay, ok, _ := c.net.plan(c.to, c.from, replySize)
 	if !ok {
 		return
 	}
-	fire := func() {
-		n.mu.Lock()
-		down := n.endpointLocked(c.from).down || n.stopped
-		if !down {
-			n.linkLocked(c.to, c.from).delivered++
-		}
-		n.mu.Unlock()
-		if !down {
-			c.sig.Resolve(v)
-		}
-	}
 	if delay <= 0 {
-		fire()
-	} else {
-		n.scheduleDelivery(delay, fire)
+		c.deliver(v)
+		return
+	}
+	c.net.scheduleDelivery(delay, func() { c.deliver(v) })
+}
+
+// deliver lands a reply: it is dropped when the caller's endpoint is down.
+func (c *callMsg) deliver(v any) {
+	n := c.net
+	n.mu.Lock()
+	down := n.endpointLocked(c.from).down || n.stopped
+	if !down {
+		n.linkLocked(c.to, c.from).delivered++
+	}
+	n.mu.Unlock()
+	if !down {
+		c.Resolve(v)
 	}
 }
 
@@ -653,21 +739,29 @@ func (n *Net) SendBurst(msgs []transport.Message) {
 }
 
 // Call performs an RPC: the callee receives a transport.Call payload and
-// replies; the caller blocks up to timeout.
+// replies; the caller blocks up to timeout on its process's wake channel
+// (a fresh one when p is not a live process).
 func (n *Net) Call(p transport.Proc, from, to string, payload any, size int, timeout time.Duration) (any, bool) {
-	sig := &signal{done: make(chan struct{})}
-	cm := &callMsg{net: n, from: from, to: to, payload: payload, sig: sig}
+	lp, _ := p.(*Proc)
+	cm := &callMsg{net: n, from: from, to: to, payload: payload}
+	if lp != nil {
+		cm.wake = lp.wake
+	} else {
+		cm.wake = make(chan struct{}, 1)
+	}
 	n.Send(transport.Message{From: from, To: to, Payload: cm, Size: size})
-	return sig.WaitTimeout(p, timeout)
+	return cm.wait(lp, timeout)
 }
 
 // NewSignal creates a one-shot handoff.
-func (n *Net) NewSignal() transport.Signal { return &signal{done: make(chan struct{})} }
+func (n *Net) NewSignal() transport.Signal {
+	return &signal{wake: make(chan struct{}), owned: true}
+}
 
 // Spawn starts fn on a new goroutine. A killed process unwinds at its next
 // blocking point; the panic sentinel is recovered here.
 func (n *Net) Spawn(name string, fn func(transport.Proc)) transport.Handle {
-	p := &Proc{net: n, name: name, killed: make(chan struct{})}
+	p := newProc(n, name)
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
@@ -734,15 +828,8 @@ func (n *Net) RunFor(d time.Duration) { time.Sleep(d) }
 
 // Drive blocks until sig resolves or timeout elapses.
 func (n *Net) Drive(sig transport.Signal, timeout time.Duration) bool {
-	s := sig.(*signal)
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-s.done:
-		return true
-	case <-t.C:
-		return s.Resolved()
-	}
+	_, ok := sig.(*signal).wait(nil, timeout)
+	return ok
 }
 
 // Shutdown fail-stops every process, cancels pending timers, and waits

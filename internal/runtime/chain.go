@@ -252,8 +252,8 @@ func LiveChainConfig() ChainConfig {
 	// mailbox locking, and the arena recycles packet buffers at the root's
 	// delete verdict. The arena removes only the packet-buffer
 	// allocations: the whole chain still allocates tens of times per
-	// packet end to end (chainbench measures ~41 allocs/pkt on
-	// fork-steady).
+	// packet end to end (chainbench measures ~31 allocs/pkt on
+	// fork-steady and ~33 on fork-eo).
 	cfg.BurstSize = 32
 	return cfg
 }

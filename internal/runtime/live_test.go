@@ -107,3 +107,40 @@ func TestLiveFailoverReplay(t *testing.T) {
 		t.Fatalf("sink saw %d duplicates (suppression failed under failover)", ch.Sink.Duplicates)
 	}
 }
+
+// TestFailoverRoutingNeverLosesInstance: a live router resolving flow keys
+// while instances fail over must always find an instance. The failover
+// swaps the vertex's routing slot and installs the splitter's redirect as
+// one step under the splitter's lock; with a gap between the two, a router
+// holding the old instance list resolves the crashed ID to nothing.
+func TestFailoverRoutingNeverLosesInstance(t *testing.T) {
+	ch := liveNATChain(t, 2)
+	defer ch.Stop()
+	s := ch.Vertices[0].Splitter
+	stop := make(chan struct{})
+	lost := make(chan uint64, 1)
+	go func() {
+		defer close(lost)
+		for key := uint64(0); ; key++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.mu.Lock()
+			in := s.instanceFor(key)
+			s.mu.Unlock()
+			if in == nil {
+				lost <- key
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		ch.Controller().Failover(ch.instancesOf(ch.Vertices[0])[0])
+	}
+	close(stop)
+	if key, ok := <-lost; ok {
+		t.Fatalf("flow key %d routed to no instance during a failover", key)
+	}
+}

@@ -190,6 +190,11 @@ func (c *Chain) failoverNF(old *Instance) *Instance {
 	}
 	v := old.vertex
 	nu := c.newInstance(v)
+	// The slot swap and the splitter's redirect are one step for a live
+	// router, which holds the splitter's lock while it routes: between the
+	// two, a router holding the old list would resolve the old ID to no
+	// instance at all.
+	v.Splitter.mu.Lock()
 	c.mu.Lock()
 	// Copy-on-write: concurrent readers hold headers of the old slice
 	// (instancesOf), so the slot swap must never mutate it in place.
@@ -207,12 +212,13 @@ func (c *Chain) failoverNF(old *Instance) *Instance {
 	}
 	v.Instances = insts
 	c.mu.Unlock()
+	v.Splitter.redirect[old.ID] = nu.ID
+	v.Splitter.mu.Unlock()
 	// Datastore manager associates the failover instance's ID with the
 	// failed instance's state, on every shard holding any of it.
 	for _, s := range c.Stores {
 		s.Engine().ReassignOwner(old.ID, nu.ID)
 	}
-	v.Splitter.Redirect(old.ID, nu.ID)
 	c.aliasInstance(nu, old)
 	nu.StartReplayTarget()
 	nu.Start()

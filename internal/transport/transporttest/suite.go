@@ -2,11 +2,13 @@
 // transport.Transport implementation (the DES-backed simnet and the
 // goroutine-backed livenet). It pins the substrate contract the chain
 // runtime depends on: per-link FIFO ordering, loss/duplication injection,
-// crash fail-stop semantics, RPC round trips and timeouts, kill-unwind of
-// blocked processes, and timer delivery.
+// crash fail-stop semantics, RPC round trips and timeouts (a late reply
+// never answers a later call), kill-unwind of blocked and zero-sleeping
+// processes, and timer delivery.
 package transporttest
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -29,7 +31,9 @@ func Run(t *testing.T, mk func() transport.Transport) {
 	t.Run("RestartCleanInbox", func(t *testing.T) { testRestart(t, mk()) })
 	t.Run("CallRoundtrip", func(t *testing.T) { testCall(t, mk()) })
 	t.Run("CallTimeout", func(t *testing.T) { testCallTimeout(t, mk()) })
+	t.Run("CallLateReplyIgnored", func(t *testing.T) { testCallLateReply(t, mk()) })
 	t.Run("KillUnblocksRecv", func(t *testing.T) { testKill(t, mk()) })
+	t.Run("KillAtZeroSleep", func(t *testing.T) { testKillAtZeroSleep(t, mk()) })
 	t.Run("ScheduleFires", func(t *testing.T) { testSchedule(t, mk()) })
 	t.Run("BurstFIFO", func(t *testing.T) { testBurstFIFO(t, mk()) })
 	t.Run("BurstFanOut", func(t *testing.T) { testBurstFanOut(t, mk()) })
@@ -222,6 +226,59 @@ func testCallTimeout(t *testing.T, tr transport.Transport) {
 	}
 }
 
+// testCallLateReply: a reply that arrives after its call timed out must not
+// answer a later call of the same process. The late reply lands once while
+// the process sleeps and once while its next call waits; each later call
+// must return its own callee's value.
+func testCallLateReply(t *testing.T, tr transport.Transport) {
+	// "srv" answers 1 after late; "b" answers 2 after the body's ms. late
+	// is ten times the short timeout, so a late reply stays late even when
+	// a loaded host wakes the caller past its deadline.
+	const timeout, late = 10 * time.Millisecond, 100 * time.Millisecond
+	tr.Spawn("slow", func(p transport.Proc) {
+		ep := tr.Endpoint("srv")
+		for {
+			cm := ep.Recv(p).Payload.(transport.Call)
+			p.Sleep(late)
+			cm.Reply(1, 8)
+		}
+	})
+	tr.Spawn("prompt", func(p transport.Proc) {
+		ep := tr.Endpoint("b")
+		for {
+			cm := ep.Recv(p).Payload.(transport.Call)
+			p.Sleep(time.Duration(cm.Body().(int)) * time.Millisecond)
+			cm.Reply(2, 8)
+		}
+	})
+	done := tr.NewSignal()
+	var errs []string
+	check := func(what string, v any, ok, wantOK bool) {
+		if ok != wantOK || (ok && v != 2) {
+			errs = append(errs, fmt.Sprintf("%s returned %v ok=%v", what, v, ok))
+		}
+	}
+	tr.Spawn("client", func(p transport.Proc) {
+		defer done.Resolve(nil)
+		v, ok := tr.Call(p, "cli", "srv", 0, 8, timeout)
+		check("call 1 (slow, times out)", v, ok, false)
+		p.Sleep(late + late/2) // call 1's reply lands here
+		v, ok = tr.Call(p, "cli", "b", 0, 8, step)
+		check("call 2 (prompt)", v, ok, true)
+		v, ok = tr.Call(p, "cli", "srv", 0, 8, timeout)
+		check("call 3 (slow, times out)", v, ok, false)
+		slowB := int((late + late/2) / time.Millisecond)
+		v, ok = tr.Call(p, "cli", "b", slowB, 8, step) // call 3's reply lands mid-wait
+		check("call 4 (b delayed)", v, ok, true)
+	})
+	if !tr.Drive(done, time.Second) {
+		t.Fatal("calls did not complete")
+	}
+	for _, e := range errs {
+		t.Error(e)
+	}
+}
+
 // testKill: killing a process blocked in Recv unwinds it; messages sent
 // afterwards stay queued (no receiver consumes them).
 func testKill(t *testing.T, tr transport.Transport) {
@@ -240,6 +297,31 @@ func testKill(t *testing.T, tr transport.Transport) {
 	}
 	if n := tr.Endpoint("b").Len(); n != 1 {
 		t.Fatalf("inbox has %d messages, want 1 (unconsumed)", n)
+	}
+}
+
+// testKillAtZeroSleep: Sleep(0) is a kill point. A process that only
+// ever sleeps for zero (as a worker with zero service time does between
+// packets) must unwind once killed. The kill comes from another process,
+// so the DES, where the spinner never lets virtual time advance, can run
+// it too.
+func testKillAtZeroSleep(t *testing.T, tr transport.Transport) {
+	spinning := tr.NewSignal()
+	exited := tr.NewSignal()
+	h := tr.Spawn("spin", func(p transport.Proc) {
+		defer exited.Resolve(nil)
+		for {
+			spinning.Resolve(nil)
+			p.Sleep(0)
+		}
+	})
+	tr.Spawn("killer", func(p transport.Proc) {
+		if _, ok := spinning.WaitTimeout(p, step); ok {
+			tr.Kill(h)
+		}
+	})
+	if !tr.Drive(exited, time.Second) {
+		t.Fatal("a process looping on Sleep(0) survived Kill")
 	}
 }
 
