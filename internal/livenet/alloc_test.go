@@ -134,3 +134,40 @@ func TestMailboxFIFOAcrossCompaction(t *testing.T) {
 		}
 	}
 }
+
+// TestSendBurstBacklogBounded: a mailbox fed by SendBurst that never fully
+// empties keeps an array bounded by its backlog, not by the traffic it has
+// carried. The burst path appends through the same compaction as push.
+func TestSendBurstBacklogBounded(t *testing.T) {
+	n := New(Config{Seed: 1})
+	defer n.Shutdown()
+	box := n.Endpoint("b").(*Endpoint).box
+	const burst, rounds = 32, 1000
+	msgs := make([]transport.Message, burst)
+	next, want := 0, 0
+	send := func() {
+		for i := range msgs {
+			msgs[i] = transport.Message{From: "a", To: "b", Payload: next}
+			next++
+		}
+		n.SendBurst(msgs)
+	}
+	send() // the standing backlog: one burst always queued
+	for round := 0; round < rounds; round++ {
+		send()
+		for i := 0; i < burst; i++ {
+			msg, ok := box.pop()
+			if !ok || msg.Payload.(int) != want {
+				t.Fatalf("round %d: popped %v ok=%v, want %d", round, msg.Payload, ok, want)
+			}
+			want++
+		}
+		if box.len() == 0 {
+			t.Fatalf("round %d: backlog drained", round)
+		}
+	}
+	if c := cap(box.q); c > 8*burst {
+		t.Fatalf("array grew to %d after %d messages with a standing backlog of %d",
+			c, next, next-want)
+	}
+}

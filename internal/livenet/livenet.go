@@ -728,10 +728,10 @@ func (n *Net) SendBurst(msgs []transport.Message) {
 			curBox.mu.Lock()
 		}
 		l.delivered++
-		curBox.q = append(curBox.q, msg)
+		curBox.appendLocked(msg)
 		if dup {
 			l.delivered++
-			curBox.q = append(curBox.q, msg)
+			curBox.appendLocked(msg)
 		}
 	}
 	flush()

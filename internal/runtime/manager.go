@@ -190,30 +190,25 @@ func (c *Chain) failoverNF(old *Instance) *Instance {
 	}
 	v := old.vertex
 	nu := c.newInstance(v)
-	// The slot swap and the splitter's redirect are one step for a live
-	// router, which holds the splitter's lock while it routes: between the
-	// two, a router holding the old list would resolve the old ID to no
-	// instance at all.
-	v.Splitter.mu.Lock()
-	c.mu.Lock()
-	// Copy-on-write: concurrent readers hold headers of the old slice
-	// (instancesOf), so the slot swap must never mutate it in place.
-	insts := append([]*Instance(nil), v.Instances...)
-	replaced := false
-	for idx, in := range insts {
-		if in == old {
-			insts[idx] = nu
-			replaced = true
-			break
+	v.Splitter.Replace(old.ID, nu.ID, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		// Copy-on-write: concurrent readers hold headers of the old slice
+		// (instancesOf), so the slot swap must never mutate it in place.
+		insts := append([]*Instance(nil), v.Instances...)
+		replaced := false
+		for idx, in := range insts {
+			if in == old {
+				insts[idx] = nu
+				replaced = true
+				break
+			}
 		}
-	}
-	if !replaced {
-		insts = append(insts, nu)
-	}
-	v.Instances = insts
-	c.mu.Unlock()
-	v.Splitter.redirect[old.ID] = nu.ID
-	v.Splitter.mu.Unlock()
+		if !replaced {
+			insts = append(insts, nu)
+		}
+		v.Instances = insts
+	})
 	// Datastore manager associates the failover instance's ID with the
 	// failed instance's state, on every shard holding any of it.
 	for _, s := range c.Stores {

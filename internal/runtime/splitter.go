@@ -610,6 +610,18 @@ func (s *Splitter) SetSplitHosts(hosts []uint32, objs []uint16) {
 	}
 }
 
+// Replace installs nu as old's replacement: swap (the caller's routing
+// slot swap) runs and the redirect is set under s.mu, as one step for a
+// live router, which holds s.mu while it routes. Between the two, a router
+// holding the old instance list would resolve old to no instance at all.
+// Lock order: the splitter's lock is taken before any lock swap takes.
+func (s *Splitter) Replace(old, nu uint16, swap func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	swap()
+	s.redirect[old] = nu
+}
+
 // Redirect reroutes a failed instance's traffic to its replacement.
 func (s *Splitter) Redirect(from, to uint16) {
 	s.mu.Lock()
